@@ -15,8 +15,10 @@
 //! window where a concurrent writer could invalidate the weakly-minimal
 //! precondition Lemma 1 depends on. `refresh`/`propagate` claim a view's
 //! base tables shared, so maintenance of independent views runs in
-//! parallel while conflicting writers serialize. Plain readers
-//! (`query_view`, `eval`, `read_through`) never touch commit claims.
+//! parallel while conflicting writers serialize. Fresh reads
+//! (`read_through`) claim a view's bases shared too, so they see the log,
+//! differential tables and `MV` at one commit boundary. Plain readers
+//! (`query_view`, `eval`) never touch commit claims.
 //!
 //! **Lock order.** Nested acquisition always follows
 //!
@@ -49,7 +51,7 @@ use crate::view::{Minimality, Scenario, View};
 use dvm_algebra::eval::PinnedState;
 use dvm_algebra::infer::compile;
 use dvm_algebra::Expr;
-use dvm_delta::{compose_into, Transaction};
+use dvm_delta::{compose_into, DeltaDirection, Transaction};
 use dvm_durability::{
     checkpoint as checkpoint_file, Checkpoint, CrashFs, DurabilityError, Wal, WalOptions,
     WalStatus,
@@ -448,14 +450,12 @@ impl Database {
             self.catalog
                 .create_table(i, mv_schema, TableKind::Internal)?;
         }
-        // Compile the view's delta program eagerly, now that the log
-        // tables exist in the catalog (the stored ▼/▲ plans scan them, so
-        // schema inference needs them registered). Steady-state propagate
-        // then starts with a warm all-active variant instead of paying the
-        // first symbolic derivation inline.
-        if view.log().is_some() {
-            view.delta_program(&self.catalog)?;
-        }
+        // Compile the view's delta program eagerly: post-update ▼/▲ plans
+        // over the log for BL/C, pre-update ∇/Δ plans over a bound
+        // transaction for IM/DT. Steady-state maintenance then starts with
+        // a warm all-active variant instead of paying the first symbolic
+        // derivation inline.
+        view.delta_program(&self.catalog)?;
         // Initialize MV := Q (evaluated now). Initialization counts as the
         // view's first refresh for the staleness gauges.
         let initial = scenario::recompute(&self.catalog, &view)?;
@@ -672,9 +672,11 @@ impl Database {
         }
     }
 
-    /// Pre-update `makesafe_*[T]` for one view. Records the view's
-    /// makesafe metric; returns the nanos spent and, for Immediate views,
-    /// the MV update to apply post-update.
+    /// Pre-update `makesafe_*[T]` for one view. Returns the nanos spent
+    /// and, for Immediate views, the MV update to apply post-update. Records
+    /// the view's makesafe metric, except for Immediate views: their one
+    /// sample per transaction is recorded after the apply, with both
+    /// halves summed.
     fn makesafe_one(
         &self,
         view: &View,
@@ -698,7 +700,9 @@ impl Database {
             }
         };
         let nanos = start.elapsed().as_nanos() as u64;
-        view.metrics().record_makesafe(nanos);
+        if pending.is_none() {
+            view.metrics().record_makesafe(nanos);
+        }
         Ok((nanos, pending))
     }
 
@@ -807,12 +811,13 @@ impl Database {
         let (shared_relevant, private_relevant): (Vec<_>, Vec<_>) = relevant
             .into_iter()
             .partition(|v| shared_names.contains(v.name()));
-        let mut pending_immediate: Vec<(Arc<View>, immediate::PendingMvUpdate)> = Vec::new();
+        let mut pending_immediate: Vec<(Arc<View>, immediate::PendingMvUpdate, u64)> =
+            Vec::new();
         let outcomes = self.makesafe_fanout(&private_relevant, &tx);
         for (view, outcome) in private_relevant.iter().zip(outcomes) {
             let (nanos, pending) = outcome?;
             if let Some(p) = pending {
-                pending_immediate.push((Arc::clone(view), p));
+                pending_immediate.push((Arc::clone(view), p, nanos));
             }
             report.maintenance_nanos += nanos;
             report.views_maintained += 1;
@@ -847,11 +852,11 @@ impl Database {
         }
 
         // Post-update phase: immediate views apply their precomputed deltas.
-        for (view, pending) in pending_immediate {
+        for (view, pending, prepare_nanos) in pending_immediate {
             let start = Instant::now();
             immediate::apply(&self.catalog, &view, &pending)?;
             let nanos = start.elapsed().as_nanos() as u64;
-            view.metrics().record_makesafe(nanos);
+            view.metrics().record_makesafe(prepare_nanos + nanos);
             report.maintenance_nanos += nanos;
         }
         // Log the *normalized* transaction while the claims are still held
@@ -960,32 +965,7 @@ impl Database {
     /// `propagate_C`: fold logged changes into the differential tables
     /// without touching the `MV` lock. Only for [`Scenario::Combined`].
     pub fn propagate(&self, name: &str) -> Result<()> {
-        let view = self.view(name)?;
-        if view.scenario() != Scenario::Combined {
-            return Err(CoreError::WrongScenario {
-                view: name.to_string(),
-                op: "propagate",
-            });
-        }
-        let _span = self.tracer.span(EventKind::Propagate, name);
-        let _maint = view.maintenance_lock();
-        let _claims = self.lock_view_bases(&view)?;
-        let profiled = dvm_obs::profiling_on();
-        if profiled {
-            // Discard captures ad-hoc queries left on this thread.
-            let _ = obs_profile::take_captured();
-        }
-        let start = Instant::now();
-        self.drain_shared(&view)?;
-        combined::propagate_with(&self.catalog, &view, self.intra_view_par())?;
-        let nanos = start.elapsed().as_nanos() as u64;
-        view.metrics().record_propagate(nanos);
-        self.ts_push(&format!("propagate_ns/{name}"), nanos as f64);
-        if profiled {
-            self.finish_profile(name, "propagate", nanos);
-        }
-        self.log_op(&DurableOp::Propagate(name.to_string()))?;
-        Ok(())
+        self.propagate_inner(name, true)
     }
 
     /// [`propagate`](Self::propagate), but re-deriving and re-compiling the
@@ -994,6 +974,10 @@ impl Database {
     /// baseline the `exp_compile` benchmark and the compiled≡fresh
     /// differential tests compare against.
     pub fn propagate_uncompiled(&self, name: &str) -> Result<()> {
+        self.propagate_inner(name, false)
+    }
+
+    fn propagate_inner(&self, name: &str, compiled: bool) -> Result<()> {
         let view = self.view(name)?;
         if view.scenario() != Scenario::Combined {
             return Err(CoreError::WrongScenario {
@@ -1011,7 +995,11 @@ impl Database {
         }
         let start = Instant::now();
         self.drain_shared(&view)?;
-        combined::propagate_derive_per_call(&self.catalog, &view, self.intra_view_par())?;
+        if compiled {
+            combined::propagate_with(&self.catalog, &view, self.intra_view_par())?;
+        } else {
+            combined::propagate_derive_per_call(&self.catalog, &view, self.intra_view_par())?;
+        }
         let nanos = start.elapsed().as_nanos() as u64;
         view.metrics().record_propagate(nanos);
         self.ts_push(&format!("propagate_ns/{name}"), nanos as f64);
@@ -1121,42 +1109,33 @@ impl Database {
     /// needs", answered on the read path): fresh answers, zero downtime,
     /// nothing mutated.
     pub fn read_through(&self, name: &str) -> Result<Bag> {
+        self.read_through_inner(name, None)
+    }
+
+    /// `σ_pred` over the current view value, with the predicate applied to
+    /// the materialization, differential tables, and evaluated change
+    /// queries — only the matching part of the stored state is copied.
+    pub fn read_through_where(&self, name: &str, pred: &dvm_algebra::Predicate) -> Result<Bag> {
+        self.read_through_inner(name, Some(pred))
+    }
+
+    fn read_through_inner(&self, name: &str, pred: Option<&dvm_algebra::Predicate>) -> Result<Bag> {
         let view = self.view(name)?;
         // The maintenance mutex keeps a concurrent propagate/refresh from
         // moving entries between the log, differential tables, and MV
-        // while we read them (each would be individually consistent but
-        // mutually torn). `query_view` stays mutex-free.
+        // while we read them; the shared base claims keep a concurrent
+        // `execute` from landing between its makesafe (log append / DT
+        // fold) and its base apply. Either would leave each table
+        // individually consistent but mutually torn. Same lock order as
+        // `check_invariant`. `query_view` stays lock-free.
         let _maint = view.maintenance_lock();
-        if self.is_shared_log_view(name) {
-            let overrides = self.shared_log_overrides(&view)?;
-            crate::readthrough::read_through_with_log_overrides(
-                &self.catalog,
-                &view,
-                None,
-                &overrides,
-            )
+        let _claims = self.lock_view_bases(&view)?;
+        let overrides = if self.is_shared_log_view(name) {
+            Some(self.shared_log_overrides(&view)?)
         } else {
-            crate::readthrough::read_through(&self.catalog, &view)
-        }
-    }
-
-    /// `σ_pred` over the current view value, with the predicate pushed
-    /// into the materialization, differential tables, and incremental
-    /// queries — only the matching part of the deferred work is computed.
-    pub fn read_through_where(&self, name: &str, pred: &dvm_algebra::Predicate) -> Result<Bag> {
-        let view = self.view(name)?;
-        let _maint = view.maintenance_lock();
-        if self.is_shared_log_view(name) {
-            let overrides = self.shared_log_overrides(&view)?;
-            crate::readthrough::read_through_with_log_overrides(
-                &self.catalog,
-                &view,
-                Some(pred),
-                &overrides,
-            )
-        } else {
-            crate::readthrough::read_through_where(&self.catalog, &view, pred)
-        }
+            None
+        };
+        crate::readthrough::read_through(&self.catalog, &view, pred, overrides.as_ref())
     }
 
     /// Recompute the view definition from scratch (ground truth; ignores
@@ -1202,8 +1181,10 @@ impl Database {
     }
 
     /// Human-readable EXPLAIN of a view: its definition, the optimized
-    /// physical plan of `Q`, and — for log-based scenarios — the plans of
-    /// the post-update refresh queries `▼(L,Q)` / `▲(L,Q)`.
+    /// physical plan of `Q`, and its stored delta program as
+    /// [`plan_view`](Self::plan_view) renders it — the post-update refresh
+    /// queries `▼(L,Q)/▲(L,Q)` for log-based scenarios, the pre-update
+    /// `makesafe` queries `∇(T,Q)/Δ(T,Q)` for IM and DT.
     pub fn explain_view(&self, name: &str) -> Result<String> {
         use std::fmt::Write as _;
         let view = self.view(name)?;
@@ -1217,36 +1198,17 @@ impl Database {
         .expect("write to string");
         writeln!(out, "-- materialization plan --").expect("write to string");
         out.push_str(&dvm_algebra::explain_query(view.compiled()));
-        if let Some(log) = view.log() {
-            let deltas = dvm_delta::post_update_deltas(view.definition(), log, &self.catalog)?;
-            let del = compile(&deltas.del, &self.catalog)?;
-            let ins = compile(&deltas.ins, &self.catalog)?;
-            writeln!(out, "-- refresh ▼(L,Q) plan --").expect("write to string");
-            out.push_str(&dvm_algebra::explain_query(&del));
-            writeln!(out, "-- refresh ▲(L,Q) plan --").expect("write to string");
-            out.push_str(&dvm_algebra::explain_query(&ins));
-        }
+        out.push_str(&self.plan_view(name)?);
         Ok(out)
     }
 
-    /// Render a view's *stored* compiled delta program: the cached ▼/▲
-    /// plans steady-state propagate executes (contrast with
-    /// [`explain_view`](Self::explain_view), which re-derives the symbolic
-    /// queries on each call). Compiles the program on demand if the view
-    /// has not been maintained yet (e.g. right after recovery).
+    /// Render a view's *stored* compiled delta program: counters, the
+    /// cached plans of its all-active variant, and the inventory of pruned
+    /// variants. Compiles the program on demand if it was invalidated.
     pub fn plan_view(&self, name: &str) -> Result<String> {
         use std::fmt::Write as _;
         let view = self.view(name)?;
         let mut out = String::new();
-        if view.log().is_none() {
-            writeln!(
-                out,
-                "view {name} [{}] keeps no log — no delta program is compiled",
-                view.scenario().label()
-            )
-            .expect("write to string");
-            return Ok(out);
-        }
         let program = view.delta_program(&self.catalog)?;
         let stats = program.stats();
         let age = stats
@@ -1254,9 +1216,13 @@ impl Database {
             .elapsed()
             .map(|d| format!("{:.1}s ago", d.as_secs_f64()))
             .unwrap_or_else(|_| "just now".to_string());
+        let (direction, del, ins, scope) = match program.direction() {
+            DeltaDirection::PostUpdate => ("post-update", "▼(L,Q)", "▲(L,Q)", "all logs active"),
+            DeltaDirection::PreUpdate => ("pre-update", "∇(T,Q)", "Δ(T,Q)", "every base changed"),
+        };
         writeln!(
             out,
-            "delta program for {name} [{}] — compiled {age}",
+            "delta program for {name} [{}] ({direction}) — compiled {age}",
             view.scenario().label()
         )
         .expect("write to string");
@@ -1268,15 +1234,13 @@ impl Database {
         .expect("write to string");
         match program.full_variant() {
             Some(variant) => {
-                writeln!(out, "-- compiled ▼(L,Q) plan (all logs active) --")
-                    .expect("write to string");
+                writeln!(out, "-- compiled {del} plan ({scope}) --").expect("write to string");
                 out.push_str(&dvm_algebra::explain_query(&variant.del));
-                writeln!(out, "-- compiled ▲(L,Q) plan (all logs active) --")
-                    .expect("write to string");
+                writeln!(out, "-- compiled {ins} plan ({scope}) --").expect("write to string");
                 out.push_str(&dvm_algebra::explain_query(&variant.ins));
             }
             None => {
-                writeln!(out, "  (definition reads no base tables — ▼/▲ are φ)")
+                writeln!(out, "  (definition reads no base tables — {del}/{ins} are φ)")
                     .expect("write to string");
             }
         }
@@ -1286,7 +1250,7 @@ impl Database {
             for v in &variants {
                 writeln!(
                     out,
-                    "  mask {:#x}: active logs {:?}, expr size {}",
+                    "  mask {:#x}: active {:?}, expr size {}",
                     v.mask,
                     program.active_log_tables(v.mask),
                     v.expr_size
@@ -1989,6 +1953,29 @@ mod tests {
         let m = db.view_metrics("v").unwrap();
         assert_eq!(m.makesafe_count, 1);
         assert_eq!(m.propagate_count, 1);
+    }
+
+    #[test]
+    fn makesafe_counts_one_sample_per_transaction_in_every_scenario() {
+        // IM's makesafe has a pre-update half (evaluate ∇/Δ) and a
+        // post-update half (apply to MV); it is one sample, not two.
+        let db = db_with_r();
+        for (name, scenario) in [
+            ("im", Scenario::Immediate),
+            ("bl", Scenario::BaseLog),
+            ("dt", Scenario::DiffTable),
+            ("c", Scenario::Combined),
+        ] {
+            db.create_view(name, Expr::table("r"), scenario).unwrap();
+        }
+        db.execute(&Transaction::new().insert_tuple("r", tuple![5]))
+            .unwrap();
+        for name in ["im", "bl", "dt", "c"] {
+            let m = db.view_metrics(name).unwrap();
+            assert_eq!(m.makesafe_count, 1, "{name}");
+            assert!(m.makesafe_nanos > 0, "{name}");
+        }
+        assert_eq!(db.query_view("im").unwrap(), db.recompute_view("im").unwrap());
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub use metrics::{ViewHistograms, ViewMetrics, ViewMetricsSnapshot};
 pub use obs::{IngestGauges, Observability, StalenessGauges, ViewObservability};
 pub use policy::{PolicyDriver, RefreshPolicy, TickActions};
 pub use profile::{MaintProfile, ProfileReport};
-pub use readthrough::{read_through, read_through_where};
+pub use readthrough::read_through;
 pub use view::{Minimality, Scenario, View};

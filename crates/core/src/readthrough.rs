@@ -14,89 +14,80 @@
 //! C:   Q = (((MV ∸ ∇MV) ⊎ ΔMV) ∸ ▼(L,Q)) ⊎ ▲(L,Q)
 //! ```
 //!
-//! — and a *filtered* read-through pushes the query predicate `σ_p` into
-//! every component (selection distributes over `∸` and `⊎`), so only the
-//! relevant part of the incremental work is ever computed. No write lock
-//! is taken; concurrent readers of the stale `MV` are unaffected.
+//! `▼(L,Q)/▲(L,Q)` come from the view's stored post-update program — the
+//! same variant `propagate` would run for the log's current activity
+//! mask, with the log bags (or a shared-log view's effective log) bound as
+//! parameters. An empty log (mask 0) evaluates nothing. Because the
+//! variant is pruned to the active logs, a sales-only log never joins
+//! against the whole `sales` table, and the hash-join builds it does
+//! need sit over stable bases the join-build cache already holds.
+//!
+//! A *filtered* read-through applies `σ_p` to every component (selection
+//! distributes over `∸` and `⊎`): `MV` and `ΔMV` are filtered in place
+//! under their read guards, never copied whole, and the log-sized `▲`
+//! output is filtered after evaluation. Deletions (`∇MV`, `▼`) are
+//! subtracted unfiltered: `σ_p(X ∸ D) = σ_p(X) ∸ D`. No write lock is
+//! taken; concurrent readers of the stale `MV` are unaffected.
+//! [`Database::read_through`](crate::Database::read_through) holds the
+//! view's maintenance lock and shared commit claims on its bases, so the
+//! log, the differential tables and `MV` are read at one commit boundary.
 
 use crate::error::Result;
-use crate::scenario::eval_expr;
+use crate::scenario::{eval_expr, eval_variant_bound, log_mask, log_params, variant_for};
 use crate::view::View;
 use dvm_algebra::infer::compile_predicate;
-use dvm_algebra::{Expr, Predicate};
-use dvm_delta::post_update_deltas;
+use dvm_algebra::Predicate;
 use dvm_storage::{Bag, Catalog};
+use std::collections::HashMap;
 
-/// Compute the current value of the view without refreshing it.
-pub fn read_through(catalog: &Catalog, view: &View) -> Result<Bag> {
-    read_through_inner(catalog, view, None, &std::collections::HashMap::new())
-}
-
-/// Compute `σ_pred(Q)` — the fresh, filtered view value — without
-/// refreshing. The predicate is resolved against the view's output schema
-/// and pushed into the materialized table, the differential tables, and
-/// the incremental queries alike.
-pub fn read_through_where(catalog: &Catalog, view: &View, pred: &Predicate) -> Result<Bag> {
-    read_through_inner(catalog, view, Some(pred), &std::collections::HashMap::new())
-}
-
-/// Read-through with log-table contents overridden (shared-log views:
-/// effective log = staging ∘ un-drained shared suffix).
-pub fn read_through_with_log_overrides(
+/// Compute the current value of the view — or, given `pred`, the fresh
+/// filtered value `σ_pred(Q)` — without refreshing it. The predicate is
+/// resolved against the view's output schema. `log_overrides` replace the
+/// contents of the log tables they name (shared-log views: effective log =
+/// staging ∘ un-drained shared suffix).
+pub fn read_through(
     catalog: &Catalog,
     view: &View,
     pred: Option<&Predicate>,
-    log_overrides: &std::collections::HashMap<String, Bag>,
+    log_overrides: Option<&HashMap<String, Bag>>,
 ) -> Result<Bag> {
-    read_through_inner(catalog, view, pred, log_overrides)
-}
-
-fn read_through_inner(
-    catalog: &Catalog,
-    view: &View,
-    pred: Option<&Predicate>,
-    log_overrides: &std::collections::HashMap<String, Bag>,
-) -> Result<Bag> {
-    // σ_p over a materialized bag.
-    let mv_schema = view.mv_schema();
-    let filter_bag = |bag: Bag| -> Result<Bag> {
-        match pred {
-            None => Ok(bag),
-            Some(p) => {
-                let phys = compile_predicate(p, &mv_schema)?;
-                Ok(bag.select(|t| phys.eval(t)))
-            }
-        }
+    let phys = pred
+        .map(|p| compile_predicate(p, &view.mv_schema()))
+        .transpose()?;
+    // σ_p over a bag; unfiltered reads copy it.
+    let filter = |bag: &Bag| match &phys {
+        None => bag.clone(),
+        Some(p) => bag.select(|t| p.eval(t)),
     };
-    // σ_p around a delta expression (the expression's schema is the view's
-    // output schema, so the same predicate resolves).
-    let wrap = |e: Expr| -> Expr {
-        match pred {
-            None => e,
-            Some(p) => e.select(p.clone()),
-        }
-    };
+    // σ_p over a table, under its read guard.
+    let filter_table = |name: &str| -> Result<Bag> { Ok(filter(&catalog.require(name)?.read())) };
 
-    // Start from σ_p(MV).
-    let mut value = filter_bag(catalog.bag_of(view.mv_table())?)?;
+    // Start from σ_p(MV). Deletions need no filter after that:
+    // σ_p(X ∸ D) = σ_p(X) ∸ D, because a tuple failing p is not in σ_p(X).
+    let mut value = filter_table(view.mv_table())?;
 
-    // Differential tables (DT, C).
+    // Differential tables (DT, C): σ_p(MV) ∸ ∇MV ⊎ σ_p(ΔMV).
     if let Some((dt_del, dt_ins)) = view.diff_tables() {
-        let del = filter_bag(catalog.bag_of(dt_del)?)?;
-        let ins = filter_bag(catalog.bag_of(dt_ins)?)?;
-        value.apply_delta(&del, &ins);
+        let ins = filter_table(dt_ins)?;
+        value.apply_delta(&catalog.require(dt_del)?.read(), &ins);
     }
 
-    // Logged changes (BL, C): evaluate σ_p(▼(L,Q)) / σ_p(▲(L,Q)) now.
-    if let Some(log) = view.log() {
-        let deltas = post_update_deltas(view.definition(), log, catalog)?;
-        let (del, ins) = crate::scenario::eval_pair_overlay(
-            catalog,
-            &wrap(deltas.del),
-            &wrap(deltas.ins),
-            log_overrides,
-        )?;
-        value.apply_delta(&del, &ins);
+    // Logged changes (BL, C): run the stored ▼(L,Q)/▲(L,Q) variant for
+    // the log's current activity, then filter its log-sized ▲ output.
+    if view.log().is_some() {
+        let program = view.delta_program(catalog)?;
+        let mask = log_mask(catalog, &program, log_overrides);
+        if mask != 0 {
+            let variant = variant_for(catalog, &program, mask)?;
+            let (del, ins) = eval_variant_bound(catalog, &program, &variant, || {
+                log_params(catalog, &program, mask, log_overrides)
+            })?;
+            let ins = match &phys {
+                None => ins,
+                Some(p) => ins.select(|t| p.eval(t)),
+            };
+            value.apply_delta(&del, &ins);
+        }
     }
 
     Ok(value)
@@ -113,6 +104,7 @@ mod tests {
     use crate::database::Database;
     use crate::view::Scenario;
     use dvm_algebra::predicate::{col, lit};
+    use dvm_algebra::Expr;
     use dvm_delta::Transaction;
     use dvm_storage::{tuple, Schema, ValueType};
 
@@ -183,7 +175,7 @@ mod tests {
         .unwrap();
         let pred = Predicate::gt(col("b"), lit(25i64));
         let view = db.view("v").unwrap();
-        let filtered = read_through_where(db.catalog(), &view, &pred).unwrap();
+        let filtered = read_through(db.catalog(), &view, Some(&pred), None).unwrap();
         let truth = recompute_where(db.catalog(), &view, &pred).unwrap();
         assert_eq!(filtered, truth);
         assert_eq!(filtered.len(), 2); // [3,30], [4,40]
@@ -246,7 +238,7 @@ mod tests {
         .unwrap();
         let pred = Predicate::eq(col("grp"), lit(8i64));
         let view = db.view("j").unwrap();
-        let filtered = read_through_where(db.catalog(), &view, &pred).unwrap();
+        let filtered = read_through(db.catalog(), &view, Some(&pred), None).unwrap();
         assert_eq!(filtered, Bag::singleton(tuple![8, 200]));
     }
 }

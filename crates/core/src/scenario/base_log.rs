@@ -17,7 +17,7 @@
 //! ```
 
 use crate::error::{CoreError, Result};
-use crate::scenario::{eval_variant_bound, phase_end, phase_start};
+use crate::scenario::{eval_variant_bound, log_mask, log_params, variant_for};
 use crate::view::View;
 use dvm_delta::{compose_into, Transaction};
 use dvm_storage::Catalog;
@@ -56,27 +56,21 @@ pub fn refresh(catalog: &Catalog, view: &View) -> Result<()> {
         op: "refresh_BL",
     })?;
     let program = view.delta_program(catalog)?;
-    let mask = program.activity_mask(&|t| {
-        catalog.get(t).map(|tbl| tbl.is_empty()).unwrap_or(false)
-    });
+    let mask = log_mask(catalog, &program, None);
     if mask == 0 {
         // Nothing logged since the last refresh: MV is already PAST(L,Q).
         return Ok(());
     }
     // The (rare) variant compile happens *outside* the MV lock — only plan
     // execution counts against downtime.
-    let t = phase_start();
-    let (variant, fresh) = program.variant(mask, catalog)?;
-    if fresh {
-        phase_end("CompileDelta", 0, t);
-    }
-    let active = program.active_log_tables(mask);
+    let variant = variant_for(catalog, &program, mask)?;
 
     let mv = catalog.require(view.mv_table())?;
     // Downtime starts: write-lock MV, then bind, evaluate and apply.
     let mut mv_guard = mv.write();
-    let (del_bag, ins_bag) = eval_variant_bound(catalog, &variant, &active)?;
-    program.record_bind();
+    let (del_bag, ins_bag) = eval_variant_bound(catalog, &program, &variant, || {
+        log_params(catalog, &program, mask, None)
+    })?;
     mv_guard.apply_delta(&del_bag, &ins_bag);
     // L := φ, still inside the refresh transaction.
     for base in log.bases() {

@@ -15,7 +15,8 @@
 
 use crate::error::{CoreError, Result};
 use crate::scenario::{
-    base_log, diff_table, eval_pair, eval_variant_bound, phase_end, phase_start,
+    base_log, diff_table, eval_pair, eval_variant_bound, log_mask, log_params, phase_end,
+    phase_start, variant_for,
 };
 use crate::view::{Minimality, View};
 use dvm_delta::{compose_into, post_update_deltas_pruned, strongify_bags, Transaction};
@@ -59,9 +60,7 @@ pub fn propagate_with(
     // The maintenance mutex + shared base claims the caller holds keep the
     // log tables stable from the emptiness probe through the evaluation.
     let program = view.delta_program(catalog)?;
-    let mask = program.activity_mask(&|t| {
-        catalog.get(t).map(|tbl| tbl.is_empty()).unwrap_or(false)
-    });
+    let mask = log_mask(catalog, &program, None);
     if mask == 0 {
         // Empty-log fast path: every log table is φ, so ▼/▲ are φ, the
         // Lemma-3 fold is the identity (strongification included — the DT
@@ -69,14 +68,10 @@ pub fn propagate_with(
         // it), and L := φ has nothing to clear. Skip it all.
         return Ok(());
     }
-    let t = phase_start();
-    let (variant, fresh) = program.variant(mask, catalog)?;
-    if fresh {
-        phase_end("CompileDelta", 0, t);
-    }
-    let (del_bag, ins_bag) =
-        eval_variant_bound(catalog, &variant, &program.active_log_tables(mask))?;
-    program.record_bind();
+    let variant = variant_for(catalog, &program, mask)?;
+    let (del_bag, ins_bag) = eval_variant_bound(catalog, &program, &variant, || {
+        log_params(catalog, &program, mask, None)
+    })?;
 
     fold_and_clear(catalog, view, del_bag, ins_bag, par)
 }

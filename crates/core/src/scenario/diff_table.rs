@@ -13,9 +13,9 @@
 //! immediate maintenance.
 
 use crate::error::{CoreError, Result};
-use crate::scenario::eval_pair;
+use crate::scenario::eval_pre_update;
 use crate::view::{Minimality, View};
-use dvm_delta::{compose_into, pre_update_deltas, strongify_bags, Transaction};
+use dvm_delta::{compose_into, strongify_bags, Transaction};
 use dvm_storage::Catalog;
 use dvm_testkit::WorkerPool;
 
@@ -27,8 +27,7 @@ pub fn fold_transaction(catalog: &Catalog, view: &View, tx: &Transaction) -> Res
         view: view.name().to_string(),
         op: "fold_transaction",
     })?;
-    let pair = pre_update_deltas(view.definition(), tx, catalog)?;
-    let (del_bag, ins_bag) = eval_pair(catalog, &pair.del, &pair.add)?;
+    let (del_bag, ins_bag) = eval_pre_update(catalog, view, tx)?;
     if del_bag.is_empty() && ins_bag.is_empty() {
         return Ok(());
     }

@@ -3,13 +3,14 @@
 //! `makesafe_IM[T]` augments `T` with
 //! `MV := (MV ∸ ∇(T,Q)) ⊎ Δ(T,Q)`, the incremental queries evaluated in the
 //! **pre-update** state. The per-transaction overhead is the full cost of
-//! generating and evaluating the incremental queries — the very cost
-//! deferred maintenance exists to displace.
+//! evaluating the incremental queries — the very cost deferred maintenance
+//! exists to displace. (Generating them is paid once: the view's stored
+//! pre-update program is bound to each transaction.)
 
 use crate::error::Result;
-use crate::scenario::eval_pair;
+use crate::scenario::eval_pre_update;
 use crate::view::View;
-use dvm_delta::{pre_update_deltas, Transaction};
+use dvm_delta::Transaction;
 use dvm_storage::{Bag, Catalog};
 
 /// The `MV` update computed before the transaction runs.
@@ -21,11 +22,10 @@ pub struct PendingMvUpdate {
     pub ins: Bag,
 }
 
-/// Pre-update phase of `makesafe_IM[T]`: derive `∇(T,Q)/Δ(T,Q)` and
-/// evaluate them in the current (pre-update) state.
+/// Pre-update phase of `makesafe_IM[T]`: evaluate `∇(T,Q)/Δ(T,Q)` in the
+/// current (pre-update) state.
 pub fn prepare(catalog: &Catalog, view: &View, tx: &Transaction) -> Result<PendingMvUpdate> {
-    let pair = pre_update_deltas(view.definition(), tx, catalog)?;
-    let (del, ins) = eval_pair(catalog, &pair.del, &pair.add)?;
+    let (del, ins) = eval_pre_update(catalog, view, tx)?;
     Ok(PendingMvUpdate { del, ins })
 }
 

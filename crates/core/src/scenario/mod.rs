@@ -7,6 +7,11 @@
 //! | `INV_DT` | eval `∇(T,Q)/Δ(T,Q)` pre-update, fold into `∇MV/ΔMV` | apply `∇MV/ΔMV` under the `MV` write lock |
 //! | `INV_C` | extend log (same as BL) | `propagate_C` (fold `▼/▲` into `∇MV/ΔMV`, *no* `MV` lock) + `partial_refresh_C` (apply) |
 //!
+//! Every evaluation of a change query runs a variant of the view's stored
+//! [`CompiledDeltaProgram`] with the changed bags — log tables or the
+//! transaction — bound as parameters; nothing is differentiated at run
+//! time except through the `propagate_uncompiled` baseline.
+//!
 //! Downtime — the time the `MV` write lock is held — is measured by the MV
 //! table's lock metrics; everything evaluated inside that lock counts.
 
@@ -20,9 +25,10 @@ use crate::view::View;
 use dvm_algebra::eval::{eval, ParamSource, PinnedState};
 use dvm_algebra::infer::compile;
 use dvm_algebra::Expr;
-use dvm_delta::CompiledDeltaVariant;
+use dvm_delta::{CompiledDeltaProgram, CompiledDeltaVariant, Transaction};
 use dvm_storage::{Bag, Catalog};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Start a phase timer iff profiling is on (`None` keeps the off path at
@@ -71,47 +77,105 @@ pub(crate) fn eval_expr_overlay(
 /// Evaluate a delete/insert expression pair against one pinned state (both
 /// sides must see the same state).
 pub(crate) fn eval_pair(catalog: &Catalog, del: &Expr, ins: &Expr) -> Result<(Bag, Bag)> {
-    eval_pair_overlay(catalog, del, ins, &HashMap::new())
-}
-
-/// As [`eval_pair`], with some table contents overridden.
-pub(crate) fn eval_pair_overlay(
-    catalog: &Catalog,
-    del: &Expr,
-    ins: &Expr,
-    overrides: &HashMap<String, Bag>,
-) -> Result<(Bag, Bag)> {
     let t = phase_start();
     let dq = compile(del, catalog)?;
     let iq = compile(ins, catalog)?;
     let mut tables = dq.plan.tables();
     tables.extend(iq.plan.tables());
-    let src = ParamSource::pin(catalog, &tables, overrides)?;
+    let src = PinnedState::pin(catalog, &tables)?;
     phase_end("CompilePin(▼,▲)", 0, t);
     Ok((eval(&dq.plan, &src)?, eval(&iq.plan, &src)?))
 }
 
-/// Execute a precompiled delta-plan variant: snapshot the active log
-/// tables as parameter bags, pin the remaining (base) tables the stored
-/// plans scan, and evaluate both plans against the bound source. This is
-/// the whole steady-state propagate front half — no differentiation, no
-/// simplification, no plan construction. The snapshot+pin is recorded as
-/// the `BindParams` phase; the evaluations profile themselves.
+/// The activity mask of a post-update program over the current log:
+/// `overrides` stand in for the contents of the log tables they name
+/// (shared-log views' effective log).
+pub(crate) fn log_mask(
+    catalog: &Catalog,
+    program: &CompiledDeltaProgram,
+    overrides: Option<&HashMap<String, Bag>>,
+) -> u128 {
+    program.activity_mask(&|t| match overrides.and_then(|o| o.get(t)) {
+        Some(bag) => bag.is_empty(),
+        None => catalog.get(t).map(|tbl| tbl.is_empty()).unwrap_or(false),
+    })
+}
+
+/// Snapshot the log tables active under `mask` as parameter bags
+/// (`overrides` win over the catalog).
+pub(crate) fn log_params(
+    catalog: &Catalog,
+    program: &CompiledDeltaProgram,
+    mask: u128,
+    overrides: Option<&HashMap<String, Bag>>,
+) -> Result<HashMap<String, Bag>> {
+    let mut params = HashMap::new();
+    for name in program.active_log_tables(mask) {
+        let bag = match overrides.and_then(|o| o.get(name)) {
+            Some(bag) => bag.clone(),
+            None => catalog.bag_of(name)?,
+        };
+        params.insert(name.to_string(), bag);
+    }
+    Ok(params)
+}
+
+/// Fetch `program`'s variant for `mask`; a first-sighting compile is
+/// recorded as the one-time `CompileDelta` phase.
+pub(crate) fn variant_for(
+    catalog: &Catalog,
+    program: &CompiledDeltaProgram,
+    mask: u128,
+) -> Result<Arc<CompiledDeltaVariant>> {
+    let t = phase_start();
+    let (variant, fresh) = program.variant(mask, catalog)?;
+    if fresh {
+        phase_end("CompileDelta", 0, t);
+    }
+    Ok(variant)
+}
+
+/// Execute a precompiled delta-plan variant: `bind` produces the
+/// parameter bags (log snapshots or the transaction's bags), the
+/// remaining (base) tables the stored plans scan are pinned, and both
+/// plans are evaluated against the bound source. This is the whole
+/// steady-state front half of every maintenance and read site — no
+/// differentiation, no simplification, no plan construction. Binding and
+/// pinning are recorded as the `BindParams` phase; the evaluations
+/// profile themselves.
 pub(crate) fn eval_variant_bound(
     catalog: &Catalog,
+    program: &CompiledDeltaProgram,
     variant: &CompiledDeltaVariant,
-    param_tables: &[&str],
+    bind: impl FnOnce() -> Result<HashMap<String, Bag>>,
 ) -> Result<(Bag, Bag)> {
     let t = phase_start();
-    let mut params = HashMap::with_capacity(param_tables.len());
-    for name in param_tables {
-        params.insert((*name).to_string(), catalog.bag_of(name)?);
-    }
+    let params = bind()?;
     let mut tables = variant.del.plan.tables();
     tables.extend(variant.ins.plan.tables());
     let src = ParamSource::pin(catalog, &tables, &params)?;
     phase_end("BindParams", params.values().map(Bag::len).sum(), t);
+    program.record_bind();
     Ok((eval(&variant.del.plan, &src)?, eval(&variant.ins.plan, &src)?))
+}
+
+/// `(∇(T,Q), Δ(T,Q))` for a weakly minimal `tx`, evaluated in the current
+/// (pre-update) state through the view's stored pre-update program: the
+/// transaction's bags are bound as parameters of the variant for its
+/// activity mask. A transaction that changes none of the view's bases
+/// evaluates nothing.
+pub(crate) fn eval_pre_update(
+    catalog: &Catalog,
+    view: &View,
+    tx: &Transaction,
+) -> Result<(Bag, Bag)> {
+    let program = view.delta_program(catalog)?;
+    let (mask, params) = program.bind_transaction(tx);
+    if mask == 0 {
+        return Ok((Bag::new(), Bag::new()));
+    }
+    let variant = variant_for(catalog, &program, mask)?;
+    eval_variant_bound(catalog, &program, &variant, || Ok(params))
 }
 
 /// Recompute the view definition from scratch (the non-incremental

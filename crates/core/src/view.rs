@@ -75,11 +75,12 @@ pub struct View {
     dt_ins_table: Option<String>,
     base_tables: BTreeSet<String>,
     metrics: ViewMetrics,
-    // The compiled delta program (precompiled ▼/▲ plans per activity
-    // mask). Lazily compiled on first use so directly-constructed views
-    // (tests) need no provider at construction; `Database` compiles it
-    // eagerly at view creation. `None` after invalidation or before first
-    // use.
+    // The compiled delta program: precompiled ▼/▲ plans per log-activity
+    // mask for log scenarios (BL, C), ∇/Δ plans per transaction-activity
+    // mask for IM and DT. Lazily compiled on first use so
+    // directly-constructed views (tests) need no provider at
+    // construction; `Database` compiles it eagerly at view creation.
+    // `None` after invalidation or before first use.
     delta_program: Mutex<Option<Arc<CompiledDeltaProgram>>>,
     // Serializes maintenance operations (refresh / propagate /
     // partial_refresh / invariant checks) on this view: each op reads and
@@ -163,30 +164,26 @@ impl View {
         })
     }
 
-    /// The view's compiled delta program: precompiled `▼(L,Q)/▲(L,Q)`
-    /// plan pairs keyed by log-activity mask, so steady-state propagate
-    /// binds parameters into a stored plan instead of re-deriving change
-    /// queries. Compiled on first call (against `provider`, which must
-    /// resolve the view's base *and* log tables) and cached until
-    /// [`View::invalidate_delta_program`]. Errors with `WrongScenario`
-    /// when the scenario keeps no log.
+    /// The view's compiled delta program, in the direction its scenario
+    /// maintains with: post-update `▼(L,Q)/▲(L,Q)` over the log for BL
+    /// and C (propagate, refresh, read-through), pre-update
+    /// `∇(T,Q)/Δ(T,Q)` over the transaction for IM and DT (`makesafe`).
+    /// Either way, steady-state maintenance binds parameters into a
+    /// stored plan instead of re-deriving change queries. Compiled on
+    /// first call (against `provider`, which must resolve the view's base
+    /// tables) and cached until [`View::invalidate_delta_program`].
     pub fn delta_program(
         &self,
         provider: &dyn SchemaProvider,
     ) -> Result<Arc<CompiledDeltaProgram>> {
-        let log = self.log.as_ref().ok_or(CoreError::WrongScenario {
-            view: self.name.clone(),
-            op: "delta_program",
-        })?;
         let mut guard = self.delta_program.lock();
         if let Some(p) = guard.as_ref() {
             return Ok(Arc::clone(p));
         }
-        let p = Arc::new(CompiledDeltaProgram::compile(
-            &self.definition,
-            log,
-            provider,
-        )?);
+        let p = Arc::new(match &self.log {
+            Some(log) => CompiledDeltaProgram::compile(&self.definition, log, provider)?,
+            None => CompiledDeltaProgram::compile_pre_update(&self.definition, provider)?,
+        });
         *guard = Some(Arc::clone(&p));
         Ok(p)
     }
@@ -200,8 +197,8 @@ impl View {
     }
 
     /// Counter snapshot of the compiled delta program, `None` if it has
-    /// not been compiled (never used, invalidated, or a log-less
-    /// scenario). Never triggers compilation.
+    /// not been compiled (never used, or invalidated). Never triggers
+    /// compilation.
     pub fn delta_program_stats(&self) -> Option<DeltaProgramStats> {
         self.delta_program.lock().as_ref().map(|p| p.stats())
     }
@@ -316,6 +313,7 @@ pub fn mv_schema(schema: &Schema) -> Result<Schema> {
 mod tests {
     use super::*;
     use dvm_algebra::infer::compile;
+    use dvm_delta::DeltaDirection;
     use dvm_storage::ValueType;
     use std::collections::HashMap;
 
@@ -406,8 +404,12 @@ mod tests {
         let rebuilt = v.delta_program(&p).unwrap();
         assert!(!Arc::ptr_eq(&prog, &rebuilt), "recompiled, not revived");
         assert_eq!(rebuilt.stats().binds, 0, "counters restart");
-        // Scenarios without a log have no program to compile.
-        assert!(make(Scenario::Immediate).delta_program(&p).is_err());
+        // Scenarios without a log compile the pre-update direction.
+        for scenario in [Scenario::Immediate, Scenario::DiffTable] {
+            let pre = make(scenario).delta_program(&p).unwrap();
+            assert_eq!(pre.direction(), DeltaDirection::PreUpdate);
+        }
+        assert_eq!(prog.direction(), DeltaDirection::PostUpdate);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Compiled delta programs end-to-end through `Database`: steady-state
-//! propagate must do zero symbolic work (no derivation, no plan
-//! construction — only parameter binding), the empty-log fast path must do
-//! *nothing*, repeated propagates must keep the join-build cache warm, and
-//! crash recovery must rebuild the programs to the same answers.
+//! propagate, IM/DT `makesafe` and read-through must do zero symbolic work
+//! (no derivation, no plan construction — only parameter binding), the
+//! empty-log fast path must do *nothing*, repeated propagates and fresh
+//! reads must keep the join-build cache warm, and crash recovery must
+//! rebuild the programs to the same answers.
 //!
 //! Profiling is a process-wide flag, so every flag-dependent assertion
 //! lives in one test body — parallel test threads must not observe each
@@ -283,4 +284,152 @@ fn recovery_rebuilds_compiled_programs_to_same_answers() {
     assert!(plan.contains("compiled \u{25bc}(L,Q) plan"), "{plan}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Example 1.1's shape: customers above a score threshold joined with
+/// their sales. 40 seeded sales let every transaction below delete a
+/// distinct pre-existing sale, so each one dirties both sales logs.
+fn retail_db() -> Database {
+    let db = Database::new();
+    let customer = db
+        .create_table(
+            "customer",
+            Schema::from_pairs(&[("custId", ValueType::Int), ("score", ValueType::Int)]),
+        )
+        .unwrap();
+    let sales = db
+        .create_table(
+            "sales",
+            Schema::from_pairs(&[("custId", ValueType::Int), ("amt", ValueType::Int)]),
+        )
+        .unwrap();
+    for c in 0..8i64 {
+        customer.insert(tuple![c, c]).unwrap();
+    }
+    for k in 0..40i64 {
+        sales.insert(tuple![k % 8, k]).unwrap();
+    }
+    let def = Expr::table("customer")
+        .alias("c")
+        .product(Expr::table("sales").alias("s"))
+        .select(
+            Predicate::eq(col("c.custId"), col("s.custId"))
+                .and(Predicate::gt(col("c.score"), dvm_algebra::lit(2i64))),
+        )
+        .project(["c.custId", "s.amt"]);
+    for (name, scenario) in [
+        ("v_im", Scenario::Immediate),
+        ("v_bl", Scenario::BaseLog),
+        ("v_dt", Scenario::DiffTable),
+        ("v_c", Scenario::Combined),
+    ] {
+        db.create_view(name, def.clone(), scenario).unwrap();
+    }
+    db
+}
+
+/// Transaction `i` of a sales-only stream: swap seeded sale `i` for a new
+/// one of the same customer.
+fn sales_tx(i: i64) -> Transaction {
+    Transaction::new()
+        .delete_tuple("sales", tuple![i % 8, i])
+        .insert_tuple("sales", tuple![i % 8, 1000 + i])
+}
+
+fn fresh_pred(cust: i64) -> Predicate {
+    Predicate::eq(col("custId"), dvm_algebra::lit(cust))
+}
+
+/// Per-view `(compiles, binds)` of the stored delta programs.
+fn program_counters(db: &Database) -> Vec<(String, u64, u64)> {
+    db.observability()
+        .views
+        .iter()
+        .map(|v| {
+            let p = v.delta_program.expect("every view carries a program");
+            (v.name.clone(), p.compiles, p.binds)
+        })
+        .collect()
+}
+
+/// IM and DT `makesafe` run their stored pre-update programs and fresh
+/// reads run the stored post-update ones: once the stream's masks have
+/// been seen, commits and read-throughs bind but never compile.
+#[test]
+fn steady_state_commits_and_fresh_reads_add_no_compiles() {
+    let db = retail_db();
+    let step = |i: i64| {
+        db.execute(&sales_tx(i)).unwrap();
+        for v in ["v_bl", "v_c"] {
+            db.read_through_where(v, &fresh_pred(i % 8)).unwrap();
+        }
+        if i % 3 == 2 {
+            db.propagate("v_c").unwrap();
+        }
+        if i % 4 == 3 {
+            db.refresh("v_bl").unwrap();
+            db.refresh("v_dt").unwrap();
+        }
+    };
+    for i in 0..2 {
+        step(i);
+    }
+    let warm = program_counters(&db);
+    for i in 2..20 {
+        step(i);
+    }
+    let after = program_counters(&db);
+    for ((name, c0, b0), (_, c1, b1)) in warm.iter().zip(&after) {
+        assert_eq!(c1, c0, "{name} compiled in steady state: {warm:?} -> {after:?}");
+        assert!(b1 > b0, "{name} must bind its stored program: {warm:?} -> {after:?}");
+    }
+    // IM and DT bind once per commit.
+    for (name, _, binds) in &after {
+        if name == "v_im" || name == "v_dt" {
+            assert_eq!(*binds, 20, "{name}: one pre-update bind per transaction");
+        }
+    }
+    for v in ["v_im", "v_bl", "v_dt", "v_c"] {
+        assert_eq!(
+            db.read_through(v).unwrap(),
+            db.recompute_view(v).unwrap(),
+            "{v}"
+        );
+    }
+    assert!(db.check_all_invariants().unwrap().is_empty());
+}
+
+/// A fresh read over a sales-only log runs the variant pruned to the
+/// sales logs: its joins build over `customer`, which the cache already
+/// holds, so the read misses nothing — and no cached build depends on
+/// `sales`, so the next commit's invalidation frees nothing.
+#[test]
+fn sales_only_read_through_hits_cached_customer_builds() {
+    let db = retail_db();
+    let cache = db.catalog().join_cache();
+    for i in 0..3 {
+        db.execute(&sales_tx(i)).unwrap();
+        for v in ["v_bl", "v_c"] {
+            db.read_through_where(v, &fresh_pred(i % 8)).unwrap();
+        }
+    }
+    for i in 3..8 {
+        db.execute(&sales_tx(i)).unwrap();
+        let before = cache.stats();
+        for v in ["v_bl", "v_c"] {
+            db.read_through_where(v, &fresh_pred(i % 8)).unwrap();
+        }
+        let after = cache.stats();
+        assert_eq!(
+            after.misses, before.misses,
+            "read-through missed the join cache: {before:?} -> {after:?}"
+        );
+        assert!(after.hits > before.hits, "{before:?} -> {after:?}");
+        cache.invalidate_table("sales");
+        assert_eq!(
+            cache.stats().entries,
+            after.entries,
+            "a cached build depends on sales"
+        );
+    }
 }

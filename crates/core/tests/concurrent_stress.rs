@@ -417,3 +417,100 @@ fn propagate_all_and_refresh_all_cover_every_view() {
         assert_eq!(db.query_view(v).unwrap(), db.recompute_view(v).unwrap());
     }
 }
+
+/// Fresh reads must never see a commit half-applied. `execute` appends a
+/// transaction to the logs (makesafe) before it applies it to the base
+/// tables; a read-through evaluating `▼(L,Q)/▲(L,Q)` in between would
+/// combine a post-T log with pre-T bases. Here every transaction swaps
+/// one sale of customer 1 for another and flips the customer's score, so
+/// `|σ_{custId=1}(Q)|` is the same at every commit boundary — and must be
+/// the same in every fresh read, whatever it interleaves with. (The score
+/// flip makes the change queries read the bases: with sales changes
+/// alone, `▼/▲` depend on the log only and a torn read is invisible.)
+#[test]
+fn fresh_reads_never_see_a_half_applied_commit() {
+    let db = Database::new();
+    let customer = db
+        .create_table(
+            "customer",
+            dvm_storage::Schema::from_pairs(&[
+                ("custId", dvm_storage::ValueType::Int),
+                ("score", dvm_storage::ValueType::Int),
+            ]),
+        )
+        .unwrap();
+    let sales = db
+        .create_table(
+            "sales",
+            dvm_storage::Schema::from_pairs(&[
+                ("custId", dvm_storage::ValueType::Int),
+                ("amt", dvm_storage::ValueType::Int),
+            ]),
+        )
+        .unwrap();
+    for c in 0..4i64 {
+        customer.insert(tuple![c, 5]).unwrap();
+    }
+    const HELD: i64 = 3;
+    for k in 0..HELD {
+        sales.insert(tuple![1, k]).unwrap();
+    }
+    for k in 0..20i64 {
+        // Other customers' sales.
+        sales.insert(tuple![[0i64, 2, 3][k as usize % 3], 100 + k]).unwrap();
+    }
+    let def = Expr::table("customer")
+        .alias("c")
+        .product(Expr::table("sales").alias("s"))
+        .select(Predicate::eq(col("c.custId"), col("s.custId")))
+        .project(["c.custId", "s.amt"]);
+    db.create_view("v_im", def.clone(), Scenario::Immediate)
+        .unwrap();
+    db.create_view("v_bl", def.clone(), Scenario::BaseLog)
+        .unwrap();
+    db.create_view("v_dt", def.clone(), Scenario::DiffTable)
+        .unwrap();
+    db.create_view("v_c", def.clone(), Scenario::Combined)
+        .unwrap();
+    db.create_view_shared("v_s", def, Minimality::Weak).unwrap();
+    let views = ["v_im", "v_bl", "v_dt", "v_c", "v_s"];
+    let pred = Predicate::eq(col("custId"), lit(1i64));
+
+    const SWAPS: i64 = 300;
+    let ((), _) = with_workers(
+        2,
+        |i, _stop| {
+            if i == 0 {
+                for k in 0..SWAPS {
+                    // Swap sale k of customer 1 for sale k + HELD and
+                    // flip its score, with an unrelated sale riding along.
+                    let tx = Transaction::new()
+                        .delete_tuple("customer", tuple![1, 5 + k % 2])
+                        .insert_tuple("customer", tuple![1, 6 - k % 2])
+                        .delete_tuple("sales", tuple![1, k])
+                        .insert_tuple("sales", tuple![1, k + HELD])
+                        .insert_tuple("sales", tuple![2, 1000 + k]);
+                    db.execute(&tx).unwrap();
+                    if k % 10 == 9 {
+                        db.propagate("v_c").unwrap();
+                    }
+                    if k % 25 == 24 {
+                        db.refresh("v_bl").unwrap();
+                    }
+                }
+            } else {
+                for r in 0..SWAPS as usize {
+                    let view = views[r % views.len()];
+                    let fresh = db.read_through_where(view, &pred).unwrap();
+                    assert_eq!(
+                        fresh.len(),
+                        HELD as u64,
+                        "torn fresh read of {view} at read {r}: {fresh:?}"
+                    );
+                }
+            }
+        },
+        || {},
+    );
+    assert!(db.check_all_invariants().unwrap().is_empty());
+}

@@ -1,46 +1,81 @@
-//! The delta-plan compiler: `Del`/`Add` change queries derived, simplified,
-//! and plan-optimized **once per view**, then re-executed with the current
-//! log bags bound as parameters — zero symbolic work in steady state.
+//! The delta-plan compiler: change queries derived, simplified, and
+//! plan-optimized **once per view**, then re-executed with the changed
+//! bags bound as parameters — zero symbolic work in steady state.
+//!
+//! A program has one of two directions ([`DeltaDirection`]):
+//!
+//! * **post-update** — `▼(L,Q)/▲(L,Q)` over the view's log tables, for
+//!   `propagate`, BL `refresh` and read-through;
+//! * **pre-update** — `∇(T,Q)/Δ(T,Q)` over the transaction being
+//!   committed, for the IM and DT `makesafe` hooks. The transaction's
+//!   bags are bound under reserved per-base parameter names
+//!   ([`tx_del_param`], [`tx_ins_param`]) that never exist in a catalog.
 //!
 //! [`post_update_deltas_pruned`](crate::post_update_deltas_pruned) earns
-//! its keep by replacing log tables that are empty *right now* with `φ`
-//! before differentiation, so untouched tables vanish from the change
-//! queries. A compile-once design must keep that property without
+//! its keep by replacing changed-bag tables that are empty *right now*
+//! with `φ` before differentiation, so untouched tables vanish from the
+//! change queries. A compile-once design must keep that property without
 //! re-deriving per call, and the resolution here is an **activity-mask
-//! keyed variant cache**: each subset of non-empty log tables gets its own
-//! pruned, compiled `(▼, ▲)` plan pair, derived the first time that subset
-//! is observed and a pure map lookup ever after. Steady workloads touch
-//! one or two subsets (e.g. a sales-only stream always dirties exactly the
-//! sales logs), so the cache converges immediately; the all-active variant
-//! is compiled eagerly at view creation as the universal fallback.
+//! keyed variant cache**: each subset of non-empty parameter tables gets
+//! its own pruned, compiled `(del, ins)` plan pair, derived the first time
+//! that subset is observed and a pure map lookup ever after. Steady
+//! workloads touch one or two subsets (e.g. a sales-only stream always
+//! dirties exactly the sales logs), so the cache converges immediately;
+//! the all-active variant is compiled eagerly at view creation as the
+//! universal fallback.
 //!
-//! Masks are capped at 64 logged bases (two bits per base). Beyond that
-//! the mask saturates to [`CompiledDeltaProgram::SATURATED`], which maps
-//! every log table active — always *sound*, because substituting a log
-//! table whose current contents are empty only loses pruning, never
-//! changes the value of the change queries.
+//! Masks are capped at 64 bases (two bits per base). Beyond that the mask
+//! saturates to [`CompiledDeltaProgram::SATURATED`], which maps every
+//! parameter table active — always *sound*, because substituting a table
+//! whose current contents are empty only loses pruning, never changes the
+//! value of the change queries.
 
 use crate::error::Result;
 use crate::incremental::LogTables;
+use crate::transaction::Transaction;
 use crate::weak::differentiate;
 use dvm_algebra::infer::{compile, CompiledQuery, SchemaProvider};
 use dvm_algebra::subst::FactoredSubstitution;
 use dvm_algebra::Expr;
+use dvm_storage::{Bag, Schema};
 use dvm_testkit::sync::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::SystemTime;
 
-/// One compiled `(▼, ▲)` plan pair for a specific set of active log
-/// tables.
+/// Reserved parameter name binding a transaction's deletions `∇R` from
+/// `base` into a pre-update program.
+pub fn tx_del_param(base: &str) -> String {
+    format!("__tx_del_{base}")
+}
+
+/// Reserved parameter name binding a transaction's insertions `ΔR` into
+/// `base` into a pre-update program.
+pub fn tx_ins_param(base: &str) -> String {
+    format!("__tx_ins_{base}")
+}
+
+/// Which change queries a [`CompiledDeltaProgram`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeltaDirection {
+    /// `▼(L,Q)/▲(L,Q)` over the log tables, evaluated in the current
+    /// state: `L̂: R ↦ (R ∸ ▲R) ⊎ ▼R`, with `Del`/`Add` roles swapped.
+    PostUpdate,
+    /// `∇(T,Q)/Δ(T,Q)` over a transaction bound as parameters, evaluated
+    /// before it runs: `T̂: R ↦ (R ∸ ∇R) ⊎ ΔR`, no role swap.
+    PreUpdate,
+}
+
+/// One compiled `(del, ins)` plan pair for a specific set of active
+/// parameter tables.
 #[derive(Debug)]
 pub struct CompiledDeltaVariant {
     /// The activity mask this variant was derived for.
     pub mask: u128,
-    /// Compiled `▼(L,Q)` — what to remove.
+    /// Compiled `▼(L,Q)` or `∇(T,Q)` — what to remove.
     pub del: CompiledQuery,
-    /// Compiled `▲(L,Q)` — what to add.
+    /// Compiled `▲(L,Q)` or `Δ(T,Q)` — what to add.
     pub ins: CompiledQuery,
     /// Total AST size of the derived change queries (diagnostics).
     pub expr_size: usize,
@@ -63,22 +98,44 @@ pub struct DeltaProgramStats {
     pub compiled_at: SystemTime,
 }
 
+/// One base of the program and the two parameter tables carrying its
+/// changes (`▼R`/`▲R` post-update, `∇R`/`ΔR` pre-update).
 #[derive(Debug)]
-struct LogEntry {
+struct ParamEntry {
     base: String,
     del_table: String,
     ins_table: String,
 }
 
+/// Resolves a program's parameter tables to their base's schema, so
+/// pre-update parameters need not exist in any catalog.
+struct WithParams<'a> {
+    inner: &'a dyn SchemaProvider,
+    entries: &'a [ParamEntry],
+}
+
+impl SchemaProvider for WithParams<'_> {
+    fn schema_of(&self, table: &str) -> dvm_algebra::Result<Schema> {
+        let base = self
+            .entries
+            .iter()
+            .find(|e| e.del_table == table || e.ins_table == table)
+            .map_or(table, |e| e.base.as_str());
+        self.inner.schema_of(base)
+    }
+}
+
 /// A view's precompiled delta program: the Figure 2 differentiation of its
-/// definition against its log substitution, stored as executable plans
-/// keyed by which log tables currently hold tuples. See the module docs.
+/// definition against its log or transaction substitution, stored as
+/// executable plans keyed by which parameter tables currently hold tuples.
+/// See the module docs.
 #[derive(Debug)]
 pub struct CompiledDeltaProgram {
     definition: Expr,
-    /// Logged bases in sorted order — entry `i` owns mask bits `2i`
-    /// (deletion log non-empty) and `2i+1` (insertion log non-empty).
-    entries: Vec<LogEntry>,
+    direction: DeltaDirection,
+    /// Bases in sorted order — entry `i` owns mask bits `2i` (deletions
+    /// non-empty) and `2i+1` (insertions non-empty).
+    entries: Vec<ParamEntry>,
     variants: Mutex<BTreeMap<u128, Arc<CompiledDeltaVariant>>>,
     compiles: AtomicU64,
     binds: AtomicU64,
@@ -91,10 +148,10 @@ impl CompiledDeltaProgram {
     /// Used verbatim when the view logs more than 64 bases.
     pub const SATURATED: u128 = u128::MAX;
 
-    /// Derive, simplify, and plan-compile the program for `definition`
-    /// over `log`. The all-active variant is compiled eagerly so the
-    /// first propagate already skips symbolic work in the common case of
-    /// a fully dirty log.
+    /// Derive, simplify, and plan-compile the post-update program for
+    /// `definition` over `log`. The all-active variant is compiled eagerly
+    /// so the first propagate already skips symbolic work in the common
+    /// case of a fully dirty log.
     pub fn compile(
         definition: &Expr,
         log: &LogTables,
@@ -104,15 +161,42 @@ impl CompiledDeltaProgram {
             .bases()
             .map(|base| {
                 let (d, i) = log.get(base).expect("listed base");
-                LogEntry {
+                ParamEntry {
                     base: base.clone(),
                     del_table: d.to_string(),
                     ins_table: i.to_string(),
                 }
             })
             .collect();
+        Self::build(definition, DeltaDirection::PostUpdate, entries, provider)
+    }
+
+    /// Derive, simplify, and plan-compile the pre-update program for
+    /// `definition`: one parameter pair per base the definition reads,
+    /// bound per transaction by [`Self::bind_transaction`]. The
+    /// all-active variant is compiled eagerly.
+    pub fn compile_pre_update(definition: &Expr, provider: &dyn SchemaProvider) -> Result<Self> {
+        let entries = definition
+            .tables()
+            .into_iter()
+            .map(|base| ParamEntry {
+                del_table: tx_del_param(&base),
+                ins_table: tx_ins_param(&base),
+                base,
+            })
+            .collect();
+        Self::build(definition, DeltaDirection::PreUpdate, entries, provider)
+    }
+
+    fn build(
+        definition: &Expr,
+        direction: DeltaDirection,
+        entries: Vec<ParamEntry>,
+        provider: &dyn SchemaProvider,
+    ) -> Result<Self> {
         let program = CompiledDeltaProgram {
             definition: definition.clone(),
+            direction,
             entries,
             variants: Mutex::new(BTreeMap::new()),
             compiles: AtomicU64::new(0),
@@ -127,7 +211,12 @@ impl CompiledDeltaProgram {
         Ok(program)
     }
 
-    /// The mask with every logged table active.
+    /// Which change queries this program computes.
+    pub fn direction(&self) -> DeltaDirection {
+        self.direction
+    }
+
+    /// The mask with every parameter table active.
     pub fn all_active_mask(&self) -> u128 {
         let bits = self.entries.len().saturating_mul(2);
         if bits >= 128 {
@@ -144,11 +233,11 @@ impl CompiledDeltaProgram {
         bit < 128 && (mask >> bit) & 1 == 1
     }
 
-    /// Compute the activity mask for the current log state: one bit per
-    /// log table that is non-empty *right now*. `0` means the whole log
-    /// is empty — propagate is a no-op and no plan need run. Saturates to
-    /// [`Self::SATURATED`] past 64 logged bases (sound: over-inclusion
-    /// only loses pruning).
+    /// Compute the activity mask for the current state: one bit per
+    /// parameter table that is non-empty *right now*. `0` means nothing
+    /// changed — the change queries are `φ` and no plan need run.
+    /// Saturates to [`Self::SATURATED`] past 64 bases (sound:
+    /// over-inclusion only loses pruning).
     pub fn activity_mask(&self, is_empty_now: &dyn Fn(&str) -> bool) -> u128 {
         if self.entries.len() > 64 {
             let any = self
@@ -169,8 +258,8 @@ impl CompiledDeltaProgram {
         mask
     }
 
-    /// The log tables active under `mask`, i.e. exactly the parameter
-    /// tables the variant's plans may scan.
+    /// The parameter tables active under `mask`, i.e. exactly the ones the
+    /// variant's plans may scan.
     pub fn active_log_tables(&self, mask: u128) -> Vec<&str> {
         let mut out = Vec::new();
         for (i, e) in self.entries.iter().enumerate() {
@@ -182,6 +271,32 @@ impl CompiledDeltaProgram {
             }
         }
         out
+    }
+
+    /// Bind a (weakly minimal) transaction to a pre-update program: its
+    /// activity mask, and its bags under the reserved parameter names of
+    /// every table the mask's variant scans (an active table the
+    /// transaction leaves untouched binds `φ`, which only happens under a
+    /// saturated mask).
+    pub fn bind_transaction(&self, tx: &Transaction) -> (u128, HashMap<String, Bag>) {
+        debug_assert_eq!(self.direction, DeltaDirection::PreUpdate);
+        let mut bags: HashMap<&str, &Bag> = HashMap::new();
+        for e in &self.entries {
+            if let Some((d, i)) = tx.get(&e.base) {
+                bags.insert(&e.del_table, d);
+                bags.insert(&e.ins_table, i);
+            }
+        }
+        let mask = self.activity_mask(&|t| bags.get(t).map(|b| b.is_empty()).unwrap_or(true));
+        let params = self
+            .active_log_tables(mask)
+            .into_iter()
+            .map(|t| {
+                let bag = bags.get(t).map_or_else(Bag::new, |b| (*b).clone());
+                (t.to_string(), bag)
+            })
+            .collect();
+        (mask, params)
     }
 
     /// Fetch the compiled variant for `mask`, deriving and compiling it on
@@ -199,7 +314,7 @@ impl CompiledDeltaProgram {
         Ok((self.compile_variant(mask, provider)?, true))
     }
 
-    /// The eagerly compiled all-active variant, if the view logs any base.
+    /// The eagerly compiled all-active variant, if the view reads any base.
     pub fn full_variant(&self) -> Option<Arc<CompiledDeltaVariant>> {
         self.variants
             .lock()
@@ -230,15 +345,20 @@ impl CompiledDeltaProgram {
 
     /// Derive + compile the variant for `mask` and cache it. Mirrors
     /// [`post_update_deltas_pruned`](crate::post_update_deltas_pruned):
-    /// inactive log tables enter the substitution as `φ` literals (so
-    /// φ-propagation prunes their terms at compile time) and wholly
+    /// inactive parameter tables enter the substitution as `φ` literals
+    /// (so φ-propagation prunes their terms at compile time) and wholly
     /// inactive bases are left out of `η` entirely.
     fn compile_variant(
         &self,
         mask: u128,
         provider: &dyn SchemaProvider,
     ) -> Result<Arc<CompiledDeltaVariant>> {
-        let mut l_hat = FactoredSubstitution::new();
+        let provider = &WithParams {
+            inner: provider,
+            entries: &self.entries,
+        };
+        let post = self.direction == DeltaDirection::PostUpdate;
+        let mut subst = FactoredSubstitution::new();
         for (i, e) in self.entries.iter().enumerate() {
             let del_active = Self::bit_active(mask, 2 * i);
             let ins_active = Self::bit_active(mask, 2 * i + 1);
@@ -246,28 +366,36 @@ impl CompiledDeltaProgram {
                 continue;
             }
             let schema = provider.schema_of(&e.base)?;
+            let param = |active: bool, table: &str| {
+                if active {
+                    Expr::table(table)
+                } else {
+                    Expr::empty(schema.clone())
+                }
+            };
+            let del = param(del_active, &e.del_table);
+            let ins = param(ins_active, &e.ins_table);
             // `L̂`: `R ↦ (R ∸ ▲R) ⊎ ▼R` — the factored D is the insertion
             // log and A the deletion log (reconstructing the past).
-            let d = if ins_active {
-                Expr::table(e.ins_table.clone())
+            // `T̂`: `R ↦ (R ∸ ∇R) ⊎ ΔR` — D and A as the transaction says.
+            if post {
+                subst.set(e.base.clone(), ins, del);
             } else {
-                Expr::empty(schema.clone())
-            };
-            let a = if del_active {
-                Expr::table(e.del_table.clone())
-            } else {
-                Expr::empty(schema.clone())
-            };
-            l_hat.set(e.base.clone(), d, a);
+                subst.set(e.base.clone(), del, ins);
+            }
         }
-        let pair = differentiate(&self.definition, &l_hat, provider)?;
+        let pair = differentiate(&self.definition, &subst, provider)?;
         // Post-update role swap: ▼ = Add(L̂,Q), ▲ = Del(L̂,Q).
-        let expr_size = pair.del.size() + pair.add.size();
+        let (del, ins) = if post {
+            (pair.add, pair.del)
+        } else {
+            (pair.del, pair.add)
+        };
         let variant = Arc::new(CompiledDeltaVariant {
             mask,
-            del: compile(&pair.add, provider)?,
-            ins: compile(&pair.del, provider)?,
-            expr_size,
+            expr_size: del.size() + ins.size(),
+            del: compile(&del, provider)?,
+            ins: compile(&ins, provider)?,
         });
         self.compiles.fetch_add(1, Ordering::Relaxed);
         self.variants.lock().insert(mask, Arc::clone(&variant));
@@ -384,6 +512,36 @@ mod tests {
             assert_eq!(eval(&v.del.plan, &state).unwrap(), ev(&fresh.del), "▼ for {q}");
             assert_eq!(eval(&v.ins.plan, &state).unwrap(), ev(&fresh.ins), "▲ for {q}");
         }
+    }
+
+    #[test]
+    fn pre_update_binds_transaction_under_reserved_names() {
+        let u = Universe::small(2);
+        let provider = u.provider();
+        let q = Expr::table("t0").union(Expr::table("t1"));
+        let p = CompiledDeltaProgram::compile_pre_update(&q, &provider).unwrap();
+        assert_eq!(p.direction(), DeltaDirection::PreUpdate);
+        assert_eq!(p.stats().compiles, 1, "all-active variant compiled eagerly");
+        // t0 gets an insert only; "other" is not read by the view.
+        let tx = Transaction::new()
+            .insert_tuple("t0", tuple![1, 1])
+            .insert_tuple("other", tuple![5]);
+        let (mask, params) = p.bind_transaction(&tx);
+        assert_eq!(mask, 0b10, "bit 1 = t0's insertions");
+        assert_eq!(params.len(), 1);
+        assert_eq!(params[&tx_ins_param("t0")], Bag::singleton(tuple![1, 1]));
+        // The variant scans the parameter, and evaluates to Δ(T,Q).
+        let (v, fresh) = p.variant(mask, &provider).unwrap();
+        assert!(fresh);
+        assert!(v.ins.plan.tables().contains(&tx_ins_param("t0")));
+        let mut state = u.state(&mut Rng::new(3), 3);
+        state.extend(params);
+        assert_eq!(eval(&v.ins.plan, &state).unwrap(), Bag::singleton(tuple![1, 1]));
+        assert!(eval(&v.del.plan, &state).unwrap().is_empty());
+        // A transaction touching nothing the view reads is mask 0.
+        let (mask, params) = p.bind_transaction(&Transaction::new().insert_tuple("other", tuple![1]));
+        assert_eq!(mask, 0);
+        assert!(params.is_empty());
     }
 
     #[test]

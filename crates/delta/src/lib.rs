@@ -14,9 +14,10 @@
 //!   variant used by the experiments;
 //! * [`compose`](mod@compose) — the weakly minimal composition lemma (Lemma 3);
 //! * [`cancel`] — the cancellation lemma (Lemma 1);
-//! * [`compile`] — the delta-plan compiler: `▼/▲` derived, simplified and
-//!   plan-optimized once per view, cached per activity mask, and
-//!   re-executed with log bags bound as parameters.
+//! * [`compile`] — the delta-plan compiler: `▼/▲` (post-update) or `∇/Δ`
+//!   (pre-update) derived, simplified and plan-optimized once per view,
+//!   cached per activity mask, and re-executed with log or transaction
+//!   bags bound as parameters.
 
 #![warn(missing_docs)]
 
@@ -29,7 +30,10 @@ pub mod strong;
 pub mod transaction;
 pub mod weak;
 
-pub use compile::{CompiledDeltaProgram, CompiledDeltaVariant, DeltaProgramStats};
+pub use compile::{
+    tx_del_param, tx_ins_param, CompiledDeltaProgram, CompiledDeltaVariant, DeltaDirection,
+    DeltaProgramStats,
+};
 pub use compose::{compose, compose_into};
 pub use error::{DeltaError, Result};
 pub use incremental::{

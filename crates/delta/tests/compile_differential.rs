@@ -3,6 +3,8 @@
 //! to a fresh [`post_update_deltas_pruned`] derivation at **every** step
 //! of a multi-transaction workload, over random plans spanning the whole
 //! algebra (joins with NULL keys, EXCEPT, NullEq selections, aggregates).
+//! Pre-update programs get the same treatment against a fresh
+//! [`pre_update_deltas`] for every weakly minimal transaction.
 //!
 //! Each round compiles one program, then walks several transactions:
 //! the state advances, the log accumulates by the composition lemma, and
@@ -14,9 +16,10 @@ use dvm_algebra::eval::eval;
 use dvm_algebra::infer::compile;
 use dvm_algebra::testgen::{Rng, Universe};
 use dvm_algebra::Expr;
+use dvm_algebra::subst::FactoredSubstitution;
 use dvm_delta::{
-    compose_into, log_del_name, log_ins_name, post_update_deltas_pruned, CompiledDeltaProgram,
-    LogTables,
+    compose_into, log_del_name, log_ins_name, post_update_deltas_pruned, pre_update_deltas,
+    CompiledDeltaProgram, LogTables, Transaction,
 };
 use dvm_storage::{Bag, Schema};
 use std::collections::{HashMap, HashSet};
@@ -137,4 +140,106 @@ fn compiled_matches_fresh_on_aggregates() {
     let u = Universe::mixed(3);
     let mut rng = Rng::new(0xA66);
     check_rounds(&u, &mut rng, 20, 4, |u, rng| u.agg_expr(rng, 2));
+}
+
+/// The transaction a testgen substitution of literal deltas describes,
+/// keeping only tuples that type-check against the universe schema (a
+/// transaction's bags become literals in `T̂`, and mixed universes also
+/// draw Doubles into INT columns). NULLs type-check and stay. A subbag of
+/// a weakly minimal deletion is still weakly minimal.
+fn transaction_of(u: &Universe, f: &FactoredSubstitution) -> Transaction {
+    let typed = |b: &Bag| b.select(|t| u.schema.validate(t).is_ok());
+    let mut tx = Transaction::new();
+    for t in f.tables() {
+        match f.get(t) {
+            Some((Expr::Literal { bag: d, .. }, Expr::Literal { bag: a, .. })) => {
+                tx = tx.delete(t.clone(), typed(d)).insert(t.clone(), typed(a));
+            }
+            _ => unreachable!("testgen substitutions carry literal deltas"),
+        }
+    }
+    tx
+}
+
+/// Run `rounds` random pre-update programs over `steps` transactions
+/// each: before every transaction is applied, the compiled `∇(T,Q)/Δ(T,Q)`
+/// variant for its mask, with the transaction bound as parameters, must
+/// equal a fresh `pre_update_deltas` evaluated in the same state.
+fn check_pre_update_rounds(
+    u: &Universe,
+    rng: &mut Rng,
+    rounds: usize,
+    steps: usize,
+    gen: impl Fn(&Universe, &mut Rng) -> Expr,
+) {
+    let provider = u.provider();
+    for round in 0..rounds {
+        let q = gen(u, rng);
+        let mut state = u.state(rng, 4);
+        let program = CompiledDeltaProgram::compile_pre_update(&q, &provider).unwrap();
+        let mut masks_seen: HashSet<u128> = HashSet::new();
+
+        for step in 0..steps {
+            let f = u.weakly_minimal_subst(rng, &state);
+            let tx = transaction_of(u, &f);
+            let fresh = pre_update_deltas(&q, &tx, &provider).unwrap();
+            let ev = |e: &Expr| eval(&compile(e, &provider).unwrap().plan, &state).unwrap();
+            let (mask, params) = program.bind_transaction(&tx);
+            if mask == 0 {
+                assert!(
+                    ev(&fresh.del).is_empty() && ev(&fresh.add).is_empty(),
+                    "mask 0 must mean the fresh deltas are φ (q={q})"
+                );
+            } else {
+                masks_seen.insert(mask);
+                let (v, _) = program.variant(mask, &provider).unwrap();
+                let mut bound = state.clone();
+                bound.extend(params);
+                assert_eq!(
+                    eval(&v.del.plan, &bound).unwrap(),
+                    ev(&fresh.del),
+                    "∇ diverged: q={q} round={round} step={step}"
+                );
+                assert_eq!(
+                    eval(&v.ins.plan, &bound).unwrap(),
+                    ev(&fresh.add),
+                    "Δ diverged: q={q} round={round} step={step}"
+                );
+            }
+            tx.apply_to_map(&mut state);
+        }
+
+        let s = program.stats();
+        assert!(
+            s.compiles <= masks_seen.len() as u64 + 1,
+            "{} compiles for {} distinct masks (q={q})",
+            s.compiles,
+            masks_seen.len()
+        );
+    }
+}
+
+/// Pre-update programs over random relational plans.
+#[test]
+fn pre_update_compiled_matches_fresh_on_random_plans() {
+    let u = Universe::small(3);
+    let mut rng = Rng::new(0x9E1);
+    check_pre_update_rounds(&u, &mut rng, 30, 4, |u, rng| u.expr(rng, 3));
+}
+
+/// Pre-update programs with NULL join keys, NullEq predicates, Doubles
+/// and EXCEPT.
+#[test]
+fn pre_update_compiled_matches_fresh_with_nulls_and_doubles() {
+    let u = Universe::mixed(3);
+    let mut rng = Rng::new(0x9E2);
+    check_pre_update_rounds(&u, &mut rng, 30, 4, |u, rng| u.expr(rng, 3));
+}
+
+/// Pre-update programs over aggregate views.
+#[test]
+fn pre_update_compiled_matches_fresh_on_aggregates() {
+    let u = Universe::mixed(3);
+    let mut rng = Rng::new(0x9E3);
+    check_pre_update_rounds(&u, &mut rng, 20, 4, |u, rng| u.agg_expr(rng, 2));
 }

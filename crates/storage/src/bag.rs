@@ -305,9 +305,24 @@ impl Bag {
     }
 
     /// Monus `self ∸ other`: multiplicity of `x` is `max(0, n - m)`.
+    ///
+    /// Walks the smaller operand: subtracting a large `other` from a small
+    /// `self` (a transaction's deletions against a long log, in the
+    /// composition lemma) looks each of `self`'s tuples up in `other`
+    /// instead of visiting all of `other`.
     pub fn monus(&self, other: &Bag) -> Bag {
-        let mut out = self.clone();
-        out.monus_assign(other);
+        if other.distinct_len() <= self.distinct_len() {
+            let mut out = self.clone();
+            out.monus_assign(other);
+            return out;
+        }
+        let mut out = Bag::with_capacity(self.distinct_len());
+        for (t, m) in self.iter() {
+            let k = m.saturating_sub(other.multiplicity(t));
+            if k > 0 {
+                out.insert_n(t.clone(), k);
+            }
+        }
         out
     }
 
@@ -736,6 +751,27 @@ mod tests {
         assert_eq!(x.monus(&y), b(&[(2, 1)]));
         // monus is not symmetric
         assert_eq!(y.monus(&x), b(&[(1, 3), (3, 1)]));
+    }
+
+    #[test]
+    fn monus_of_small_by_large_walks_small_side() {
+        // `other` larger than `self` takes the lookup path; it must agree
+        // with the clone-and-subtract path, including against a sharded
+        // `other`.
+        let small = b(&[(1, 3), (2, 1), (9, 2)]);
+        let mut large = Bag::new();
+        for v in 0..(Bag::PROMOTE_DISTINCT as i64 + 10) {
+            large.insert_n(tuple![v], 1 + (v as u64 % 2));
+        }
+        assert!(large.is_sharded());
+        let expect = {
+            let mut out = small.clone();
+            out.monus_assign(&large);
+            out
+        };
+        assert_eq!(small.monus(&large), expect);
+        assert_eq!(small.monus(&large), b(&[(1, 1)]));
+        assert_eq!(large.monus(&small).len(), large.len() - 5);
     }
 
     #[test]

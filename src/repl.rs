@@ -561,8 +561,8 @@ meta:  \\tables            list base tables
        \\propagate <v>     fold logged changes into differential tables
        \\partial <v>       apply differential tables (minimal downtime)
        \\fresh <v>         read-through: fresh answer, zero downtime
-       \\explain <v>       definition, materialization and refresh plans
-       \\plan <v>          stored compiled \u{25bc}/\u{25b2} delta plans + compile/bind counters
+       \\explain <v>       definition, materialization and stored delta plans
+       \\plan <v>          stored compiled delta program + compile/bind counters
        \\invariant <v> | \\invariants
        \\metrics           latency/staleness tables for every view
        \\metrics json      the same registry as JSON
